@@ -26,6 +26,8 @@ struct ParallelRegionGuard {
 struct ThreadPool::Impl {
   std::vector<std::thread> workers;
 
+  /// Held by the one external caller whose job occupies the slot below.
+  std::mutex submit_mu;
   std::mutex mu;
   std::condition_variable cv_start;
   std::condition_variable cv_done;
@@ -106,15 +108,27 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::parallel_for_lane(
     std::size_t n, const std::function<void(int, std::size_t)>& fn) {
   if (n == 0) return;
+  const auto run_inline = [&] {
+    ParallelRegionGuard guard;
+    for (std::size_t i = 0; i < n; ++i) fn(0, i);
+  };
   // Serial paths: no workers, a tiny loop, or a nested call from inside a
   // pool task (fanning out again could deadlock on this very pool).
   if (impl_ == nullptr || n == 1 || in_parallel_region()) {
-    ParallelRegionGuard guard;
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
+    run_inline();
     return;
   }
 
+  // The job slot holds one loop at a time.  A caller that finds it taken
+  // by another thread's loop runs its own inline instead of waiting: the
+  // result is the same at any lane count, and a long loop cannot stall a
+  // short one.
   Impl& im = *impl_;
+  std::unique_lock<std::mutex> submit(im.submit_mu, std::try_to_lock);
+  if (!submit.owns_lock()) {
+    run_inline();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(im.mu);
     im.fn = &fn;

@@ -13,7 +13,9 @@
 // The calling thread participates as lane 0; workers are lanes 1..N-1.  A
 // `parallel_for` issued from inside a pool task runs inline on the calling
 // lane (no nested fan-out), so composed parallel code cannot deadlock the
-// pool.  `ThreadPool(1)` has no workers at all and degenerates to a plain
+// pool.  The pool runs one caller's loop at a time: a thread that calls in
+// while another thread's loop holds the workers runs its loop inline as
+// lane 0.  `ThreadPool(1)` has no workers at all and degenerates to a plain
 // serial loop, useful as the reference in determinism tests.
 #pragma once
 

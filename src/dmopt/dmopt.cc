@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <queue>
+#include <utility>
 
 #include "common/error.h"
 #include "faultinject/fault.h"
@@ -652,6 +654,16 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   // is the whole point: SSTA steers the loop, MC has the final word.
   ssta::SstaTimer ssta_timer(timer_, placement_, coeffs_,
                              options_.yield_variation);
+  // analyze() is a pure function of the variants, so a healthy analysis is
+  // reused while the recipe keeps snapping to the same variants -- the
+  // finalized recipe usually does, after the last probe.
+  std::optional<std::pair<sta::VariantAssignment, ssta::SstaResult>> last_sr;
+  const auto analyze = [&](const sta::VariantAssignment& variants)
+      -> const ssta::SstaResult& {
+    if (!last_sr || !last_sr->second.healthy || !(last_sr->first == variants))
+      last_sr.emplace(variants, ssta_timer.analyze(variants));
+    return last_sr->second;
+  };
 
   // Cutting-plane loop as in the mean-targeted path, but the golden-
   // correction gap is the ANALYTIC p-quantile of the MCT distribution vs
@@ -668,7 +680,7 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   for (int it = 0; it < 8; ++it) {
     outcome = solve_leakage_qp(tau_model, working_set);
     ++probes;
-    const ssta::SstaResult sr = ssta_timer.analyze(snap_variants(outcome));
+    const ssta::SstaResult& sr = analyze(snap_variants(outcome));
     double gap;
     if (sr.healthy) {
       gap = sr.tau_at_yield(p) - tau_target;
@@ -698,14 +710,14 @@ DmoptResult DoseMapOptimizer::minimize_leakage_yield(double timing_bound_ns) {
   int rollbacks = 0;
   for (;;) {
     result = finalize(outcome, probes);
-    ssta::SstaResult sr = ssta_timer.analyze(result.variants);
-    if (!sr.healthy) sr = ssta_timer.analyze(result.variants);  // once-faults
+    const ssta::SstaResult* sr = &analyze(result.variants);
+    if (!sr->healthy) sr = &analyze(result.variants);  // once-faults
     const variation::YieldResult mc = verifier.analyze(result.variants);
     result.yield_target = p;
     result.yield_tau_ns = tau_target;
     result.mc_yield = mc.yield_at(tau_target);
     result.ssta_yield =
-        sr.healthy ? sr.yield_at(tau_target) : result.mc_yield;
+        sr->healthy ? sr->yield_at(tau_target) : result.mc_yield;
     result.yield_rollbacks = rollbacks;
     if (result.mc_yield >= p || rollbacks >= 3 || tau_model <= tau_floor)
       break;

@@ -7,9 +7,17 @@
 // the frontier) and as the degradation target when the SSTA forms are
 // poisoned (ssta.nan fault injection), mirroring the serve stack's other
 // self-healing ladders.
+//
+// A run is two steps: analyze_ssta_yield() builds the clock-independent
+// curves and evaluate() reads one clock off them, so a caller that keeps
+// the curves (the job server, per session) answers further clocks on the
+// same recipe without re-analyzing.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "flow/context.h"
@@ -59,8 +67,58 @@ struct SstaYieldResult {
   std::string fallback;
 };
 
-/// Run the analysis on `ctx`'s nominal variant assignment.
+/// The clock-independent half of an ssta_yield run: the analytic MCT
+/// curve and, when the Monte-Carlo leg runs, the sampled one.  Every clock
+/// is read off the same curves by evaluate().
+struct SstaYieldCurves {
+  std::size_t endpoints = 0;  ///< capture endpoints in the analytic scan
+  /// Endpoint-panel MCT curve (endpoint forms dropped).  Unhealthy when
+  /// the forms were poisoned; the MC curve is then the answer of record.
+  std::shared_ptr<const ssta::SstaResult> ssta;
+  /// Golden Monte-Carlo curve; null when the MC leg did not run.
+  std::shared_ptr<const variation::YieldResult> mc;
+  int mc_samples = 0;
+  int mc_traversals = 0;  ///< batched passes the MC leg consumed
+};
+
+/// Curves of one design's nominal recipe, kept across ssta_yield runs.
+/// The SSTA slot is keyed by (model, SstaOptions) and holds only healthy
+/// curves; the MC slot is keyed by the model with its sample count.  The
+/// owner serializes access and clears the memo when the design's
+/// placement changes.
+struct SstaYieldMemo {
+  struct SstaSlot {
+    variation::VariationModel model;
+    ssta::SstaOptions options;
+    std::shared_ptr<const ssta::SstaResult> curve;
+  };
+  struct McSlot {
+    variation::VariationModel model;  ///< monte_carlo_samples = the count
+    std::shared_ptr<const variation::YieldResult> curve;
+  };
+  std::optional<SstaSlot> ssta;
+  std::optional<McSlot> mc;
+  std::uint64_t ssta_hits = 0;  ///< runs served from the SSTA slot
+  std::uint64_t mc_hits = 0;    ///< runs served from the MC slot
+
+  void clear() {
+    ssta.reset();
+    mc.reset();
+  }
+};
+
+/// Analyze `ctx`'s nominal variant assignment; with a memo, curves whose
+/// key matches a slot are taken from it and fresh ones are stored.
+SstaYieldCurves analyze_ssta_yield(DesignContext& ctx,
+                                   const SstaYieldOptions& options,
+                                   SstaYieldMemo* memo = nullptr);
+
+/// Read the yields and quantiles at clock `tau_ns` off the curves.
+SstaYieldResult evaluate(const SstaYieldCurves& curves, double tau_ns);
+
+/// analyze_ssta_yield + evaluate at options.tau_ns (0 = nominal MCT).
 SstaYieldResult run_ssta_yield(DesignContext& ctx,
-                               const SstaYieldOptions& options);
+                               const SstaYieldOptions& options,
+                               SstaYieldMemo* memo = nullptr);
 
 }  // namespace doseopt::flow

@@ -11,13 +11,16 @@ namespace doseopt::la {
 namespace {
 // Below these sizes the fan-out overhead dominates; the products run
 // serially (which is also what every thread count degenerates to, so the
-// threshold cannot affect results).
+// threshold cannot affect results).  Inside a pool task the fan-out would
+// run inline anyway, one std::function call per row, so the plain loop
+// is taken there too.
 constexpr std::size_t kParallelDim = 512;
 constexpr std::size_t kParallelNnz = 16384;
 
 inline bool use_pool(std::size_t dim, std::size_t nnz) {
   return dim >= kParallelDim && nnz >= kParallelNnz &&
-         ThreadPool::global().lane_count() > 1;
+         ThreadPool::global().lane_count() > 1 &&
+         !ThreadPool::in_parallel_region();
 }
 }  // namespace
 

@@ -38,6 +38,7 @@
 #include <string>
 
 #include "flow/context.h"
+#include "flow/ssta_yield.h"
 #include "serve/job.h"
 
 namespace doseopt::serve {
@@ -49,6 +50,9 @@ class SessionCache {
     std::mutex mu;
     std::unique_ptr<flow::DesignContext> ctx;  ///< built under mu
     std::uint64_t key = 0;
+    /// ssta_yield curves of the nominal recipe (under mu); cleared by any
+    /// job that moves the placement.
+    flow::SstaYieldMemo yield_memo;
   };
 
   /// Counters (monotonic, relaxed).

@@ -436,12 +436,25 @@ void Server::run_job(const PendingJob& job) {
     if (expired(job)) return;
 
     Json result_json;
+    bool memoize = true;
     if (job.spec.mode == "ssta_yield") {
       // Analytic yield job: no dose optimization, nothing mutated -- one
       // canonical-form pass (plus the optional MC cross-check) over the
-      // session's nominal recipe.
-      result_json = ssta_yield_result_to_json(
-          flow::run_ssta_yield(ctx, job.spec.ssta_options()));
+      // session's nominal recipe, whose curves the session keeps for the
+      // next clock.
+      flow::SstaYieldMemo& memo = session->yield_memo;
+      const std::uint64_t ssta_hits = memo.ssta_hits;
+      const std::uint64_t mc_hits = memo.mc_hits;
+      const flow::SstaYieldResult yr =
+          flow::run_ssta_yield(ctx, job.spec.ssta_options(), &memo);
+      ssta_curve_hits_.fetch_add(memo.ssta_hits - ssta_hits,
+                                 std::memory_order_relaxed);
+      mc_curve_hits_.fetch_add(memo.mc_hits - mc_hits,
+                               std::memory_order_relaxed);
+      // A degraded answer comes from a transient fault; the next request
+      // must analyze again rather than replay it.
+      memoize = !yr.degraded;
+      result_json = ssta_yield_result_to_json(yr);
     } else {
       // dosePl mutates the context's placement and parasitics in place;
       // save and restore them so the cached session stays pristine for
@@ -451,6 +464,7 @@ void Server::run_job(const PendingJob& job) {
       if (job.spec.run_dosepl) {
         saved_placement = ctx.placement();
         saved_parasitics = ctx.parasitics();
+        session->yield_memo.clear();
       }
       flow::FlowResult result;
       try {
@@ -525,7 +539,7 @@ void Server::run_job(const PendingJob& job) {
     stages.set("coefficients_ms", Json::number(ms_since(t1, t2)));
     stages.set("flow_ms", Json::number(ms_since(t2, t3)));
     out.set("stage_ms", std::move(stages));
-    cache_.store_result(job_key, result_json.dump());
+    if (memoize) cache_.store_result(job_key, result_json.dump());
     out.set("result", std::move(result_json));
 
     jobs_completed_.fetch_add(1, std::memory_order_relaxed);
@@ -617,6 +631,8 @@ Json Server::metrics() const {
         Json::number(static_cast<double>(s.result_store_failures)));
   c.set("characterize_calls",
         Json::number(static_cast<double>(s.characterize_calls)));
+  c.set("ssta_curve_hits", n(ssta_curve_hits_));
+  c.set("mc_curve_hits", n(mc_curve_hits_));
   m.set("cache", std::move(c));
 
   Json stages = Json::object();

@@ -201,6 +201,9 @@ class Server {
   std::atomic<std::uint64_t> dmopt_mixed_fallbacks_{0};
   std::atomic<std::uint64_t> dmopt_spec_consumed_{0};
   std::atomic<std::uint64_t> dmopt_spec_wasted_{0};
+  // ssta_yield runs served from a session's memoized curves.
+  std::atomic<std::uint64_t> ssta_curve_hits_{0};
+  std::atomic<std::uint64_t> mc_curve_hits_{0};
 };
 
 }  // namespace doseopt::serve

@@ -107,17 +107,17 @@ double support_cov(const std::vector<ResidualTerm>& x,
   return cov;
 }
 
-/// Deterministic antithetic sampling of max(0, max_i d_i) over the
-/// endpoint forms -- the yield-curve integrator behind yield_at().  The
-/// max of jointly-Gaussian arrivals is right-skewed, which a single
-/// moment-matched Gaussian MCT form cannot represent; re-sampling the
-/// FORMS (shared systematic sources + shared per-cell terms + independent
-/// remainders) costs no graph traversals and nails the skew.  Endpoints
-/// that cannot plausibly set the maximum (mean + 4.5 sigma below the
-/// critical endpoint's 4.5-sigma lower bound) are dropped.
+}  // namespace
+
 std::vector<double> sample_endpoint_panel(
     const std::vector<CanonicalForm>& endpoints, int samples,
     std::uint64_t seed) {
+  // The max of jointly-Gaussian arrivals is right-skewed, which a single
+  // moment-matched Gaussian MCT form cannot represent; re-sampling the
+  // FORMS (shared systematic sources + shared per-cell terms + independent
+  // remainders) costs no graph traversals and nails the skew.  Endpoints
+  // that cannot plausibly set the maximum (mean + 4.5 sigma below the
+  // critical endpoint's 4.5-sigma lower bound) are dropped.
   std::vector<double> out;
   if (samples <= 0 || endpoints.empty()) return out;
 
@@ -127,6 +127,7 @@ std::vector<double> sample_endpoint_panel(
   std::vector<const CanonicalForm*> kept;
   for (const CanonicalForm& ep : endpoints)
     if (ep.mean + 4.5 * ep.sigma() >= thresh) kept.push_back(&ep);
+  const std::size_t m = kept.size();
 
   // Dense index over the union of tracked per-cell residual supports.
   std::vector<std::uint32_t> cells;
@@ -134,45 +135,79 @@ std::vector<double> sample_endpoint_panel(
     for (const ResidualTerm& t : ep->rc) cells.push_back(t.cell);
   std::sort(cells.begin(), cells.end());
   cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-  // Pre-resolved (dense index, coef) term lists per kept endpoint.
-  std::vector<std::vector<std::pair<std::size_t, double>>> terms(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    terms[i].reserve(kept[i]->rc.size());
-    for (const ResidualTerm& t : kept[i]->rc)
-      terms[i].emplace_back(
-          static_cast<std::size_t>(
-              std::lower_bound(cells.begin(), cells.end(), t.cell) -
-              cells.begin()),
-          t.coef);
+
+  // Flat panel of the kept endpoints: mean, r and a[] per endpoint, and
+  // their (dense index, coef) terms in CSR.
+  std::vector<double> mean(m), r(m);
+  std::vector<std::array<double, kSources>> a(m);
+  std::vector<std::size_t> term_ptr(m + 1, 0);
+  std::vector<std::uint32_t> term_z;
+  std::vector<double> term_coef;
+  for (std::size_t i = 0; i < m; ++i) {
+    mean[i] = kept[i]->mean;
+    r[i] = kept[i]->r;
+    a[i] = kept[i]->a;
+    for (const ResidualTerm& t : kept[i]->rc) {
+      term_z.push_back(static_cast<std::uint32_t>(
+          std::lower_bound(cells.begin(), cells.end(), t.cell) -
+          cells.begin()));
+      term_coef.push_back(t.coef);
+    }
+    term_ptr[i + 1] = term_z.size();
   }
 
+  // Antithetic pairs run kBatchLanes at a time: the normals of a block are
+  // drawn pair by pair in the scalar stream order (x, z, rdraw), stored
+  // lane-minor, and every kept endpoint is swept once per block.  Each
+  // lane does the scalar per-endpoint arithmetic in the scalar order, and
+  // its deviation serves both signs (mean + dev, mean - dev).
+  constexpr std::size_t L = sta::kBatchLanes;
   const int pairs = (samples + 1) / 2;
   out.reserve(2 * static_cast<std::size_t>(pairs));
   Rng rng(seed ^ 0x55AA33CC9F1E2D4BULL);
-  std::array<double, kSources> x;
-  std::vector<double> z(cells.size());
-  std::vector<double> rdraw(kept.size());
-  for (int s = 0; s < pairs; ++s) {
-    for (double& v : x) v = rng.normal();
-    for (double& v : z) v = rng.normal();
-    for (double& v : rdraw) v = rng.normal();
-    for (const double sign : {1.0, -1.0}) {
-      double worst = 0.0;  // the scalar MCT fold starts at 0
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        const CanonicalForm& ep = *kept[i];
-        double dev = ep.r * rdraw[i];
-        for (int k = 0; k < kSources; ++k) dev += ep.a[k] * x[k];
-        for (const auto& [zi, coef] : terms[i]) dev += coef * z[zi];
-        worst = std::max(worst, ep.mean + sign * dev);
+  std::vector<double> x(kSources * L, 0.0);
+  std::vector<double> z(cells.size() * L, 0.0);
+  std::vector<double> rdraw(m * L, 0.0);
+  for (int s0 = 0; s0 < pairs; s0 += static_cast<int>(L)) {
+    const std::size_t lanes =
+        std::min(L, static_cast<std::size_t>(pairs - s0));
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (int k = 0; k < kSources; ++k) x[k * L + l] = rng.normal();
+      for (std::size_t j = 0; j < cells.size(); ++j)
+        z[j * L + l] = rng.normal();
+      for (std::size_t i = 0; i < m; ++i) rdraw[i * L + l] = rng.normal();
+    }
+    // Lanes past `lanes` in a ragged last block run on stale draws and
+    // are never emitted.
+    std::array<double, L> hi{}, lo{};  // the scalar MCT fold starts at 0
+    std::array<double, L> dev;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* rd = &rdraw[i * L];
+      for (std::size_t l = 0; l < L; ++l) dev[l] = r[i] * rd[l];
+      for (int k = 0; k < kSources; ++k) {
+        const double ak = a[i][k];
+        const double* xk = &x[k * L];
+        for (std::size_t l = 0; l < L; ++l) dev[l] += ak * xk[l];
       }
-      out.push_back(worst);
+      for (std::size_t t = term_ptr[i]; t < term_ptr[i + 1]; ++t) {
+        const double coef = term_coef[t];
+        const double* zt = &z[term_z[t] * L];
+        for (std::size_t l = 0; l < L; ++l) dev[l] += coef * zt[l];
+      }
+      const double mu = mean[i];
+      for (std::size_t l = 0; l < L; ++l) {
+        hi[l] = std::max(hi[l], mu + dev[l]);
+        lo[l] = std::max(lo[l], mu - dev[l]);
+      }
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out.push_back(hi[l]);
+      out.push_back(lo[l]);
     }
   }
   std::sort(out.begin(), out.end());
   return out;
 }
-
-}  // namespace
 
 double normal_cdf(double z) {
   return 0.5 * std::erfc(-z * M_SQRT1_2);

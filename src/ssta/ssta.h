@@ -107,6 +107,14 @@ void form_prune(CanonicalForm& x, std::size_t max_terms);
 /// order is reproduced exactly.
 CanonicalForm form_max(const CanonicalForm& x, const CanonicalForm& y);
 
+/// Deterministic antithetic sampling of max(0, max_i d_i) over endpoint
+/// forms -- the yield-curve integrator behind SstaResult::yield_at.
+/// Returns 2 * ceil(samples / 2) sorted samples (empty when samples <= 0
+/// or there are no endpoints).  Pure function of its arguments.
+std::vector<double> sample_endpoint_panel(
+    const std::vector<CanonicalForm>& endpoints, int samples,
+    std::uint64_t seed);
+
 /// SSTA engine knobs.
 struct SstaOptions {
   /// Sigma (nm) of the 1 nm variant-grid snap the Monte-Carlo reference
@@ -131,6 +139,8 @@ struct SstaOptions {
   /// right-skew of the max that a single Gaussian MCT form cannot.  0
   /// falls back to the Gaussian mct-form yield curve.
   int yield_samples = 32768;
+
+  bool operator==(const SstaOptions&) const = default;
 };
 
 /// Analytic timing-yield result: the MCT distribution as a canonical form

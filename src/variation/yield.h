@@ -59,6 +59,8 @@ struct VariationModel {
   /// produces bit-identical dies -- every lane is bitwise-equal to a scalar
   /// pass -- so this is a pure throughput knob.
   int sta_batch_width = sta::kBatchLanes;
+
+  bool operator==(const VariationModel&) const = default;
 };
 
 /// Per-source field amplitude implied by the model (nm per unit of basis).

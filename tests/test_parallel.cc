@@ -116,6 +116,38 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_FALSE(ThreadPool::in_parallel_region());
 }
 
+TEST(ThreadPool, ConcurrentExternalCallersEachGetTheirOwnLoop) {
+  // Several non-pool threads drive one pool at once.  Each caller's loop
+  // must cover exactly its own indices with its own function -- whether it
+  // got the workers or ran inline because another caller held them.
+  ThreadPool pool(4);
+  constexpr int kCallers = 8;
+  constexpr int kRounds = 200;
+  std::vector<std::atomic<int>> failures(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t n =
+            64 + static_cast<std::size_t>((c * 37 + round) % 97);
+        std::vector<std::atomic<int>> hits(n);
+        std::vector<double> out(n, 0.0);
+        pool.parallel_for_lane(n, [&](int lane, std::size_t i) {
+          if (lane < 0 || lane >= pool.lane_count()) ++failures[c];
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          out[i] = static_cast<double>(c * 1000 + round) + 0.5 * i;
+        });
+        for (std::size_t i = 0; i < n; ++i)
+          if (hits[i].load() != 1 ||
+              out[i] != static_cast<double>(c * 1000 + round) + 0.5 * i)
+            ++failures[c];
+      }
+    });
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c)
+    EXPECT_EQ(failures[c].load(), 0) << "caller " << c;
+}
+
 // ---------------------------------------------------------------------------
 // Determinism across thread counts.
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "faultinject/fault.h"
 #include "flow/optimize.h"
 #include "serde/result_store.h"
 #include "serve/client.h"
@@ -302,6 +303,110 @@ TEST(ServerE2E, SstaYieldJobBitIdenticalAndMemoized) {
   ASSERT_TRUE(warm.ok()) << warm.payload.dump();
   EXPECT_TRUE(warm.payload.get("cache").get_bool("result_hit", false));
   EXPECT_EQ(warm.payload.get("result").dump(), direct);
+  server.stop();
+}
+
+/// An ssta_yield query on the 0.025-scale AES-65 session at clock tau.
+JobSpec ssta_query(double tau_ns, int mc_samples) {
+  JobSpec spec;
+  spec.id = "ssta@" + std::to_string(tau_ns);
+  spec.design = "aes65";
+  spec.scale = 0.025;
+  spec.mode = "ssta_yield";
+  spec.tau_ns = tau_ns;
+  spec.mc_samples = mc_samples;
+  return spec;
+}
+
+/// Cold direct reference: a fresh context, no memo.
+std::string cold_ssta_reply(const JobSpec& spec) {
+  flow::DesignContext ctx(spec.design_spec());
+  return serve::ssta_yield_result_to_json(
+             flow::run_ssta_yield(ctx, spec.ssta_options()))
+      .dump();
+}
+
+double curve_hits(const serve::Server& server, const char* which) {
+  return server.metrics().get("cache").get_number(which, -1.0);
+}
+
+TEST(ServerE2E, SstaYieldCurvesMemoizedPerSessionAndDroppedByDosePl) {
+  // Three clocks around the nominal MCT, with the MC cross-check.
+  std::vector<JobSpec> queries;
+  {
+    flow::DesignContext ctx(ssta_query(0.0, 0).design_spec());
+    const double mct = ctx.nominal_mct_ns();
+    for (const double f : {0.98, 1.0, 1.03})
+      queries.push_back(ssta_query(f * mct, 300));
+  }
+  std::vector<std::string> cold;
+  for (const JobSpec& q : queries) cold.push_back(cold_ssta_reply(q));
+
+  serve::ServerOptions options;
+  options.uds_path = uds_path("ssta_memo");
+  options.lanes = 1;
+  serve::Server server(options);
+  server.start();
+  serve::Client client = serve::Client::connect_unix_path(options.uds_path);
+
+  // The first clock analyzes; the other two read the session's curves.
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const serve::Client::Reply r = client.submit(queries[i]);
+    ASSERT_TRUE(r.ok()) << r.payload.dump();
+    EXPECT_FALSE(r.payload.get("cache").get_bool("result_hit", true));
+    EXPECT_EQ(r.payload.get("result").dump(), cold[i]) << "clock " << i;
+    EXPECT_EQ(r.payload.get("result").get("ssta").get_number("traversals", 0),
+              2.0);
+  }
+  EXPECT_EQ(curve_hits(server, "ssta_curve_hits"), 2.0);
+  EXPECT_EQ(curve_hits(server, "mc_curve_hits"), 2.0);
+
+  // A dosePl job on the same session drops both curves: the next clock
+  // is analyzed afresh, with the same bits.
+  JobSpec dosepl;
+  dosepl.id = "dosepl";
+  dosepl.design = "aes65";
+  dosepl.scale = 0.025;
+  dosepl.grid_um = 10.0;
+  dosepl.run_dosepl = true;
+  const serve::Client::Reply d = client.submit(dosepl);
+  ASSERT_TRUE(d.ok()) << d.payload.dump();
+  JobSpec again = queries[1];
+  again.id = "after-dosepl";
+  again.mc_samples = 301;  // a new job key: the result memo cannot answer
+  const serve::Client::Reply r = client.submit(again);
+  ASSERT_TRUE(r.ok()) << r.payload.dump();
+  EXPECT_EQ(r.payload.get("result").dump(), cold_ssta_reply(again));
+  EXPECT_EQ(curve_hits(server, "ssta_curve_hits"), 2.0);
+  EXPECT_EQ(curve_hits(server, "mc_curve_hits"), 2.0);
+  server.stop();
+}
+
+TEST(ServerE2E, DegradedSstaYieldReplyIsNotMemoized) {
+  const JobSpec spec = ssta_query(0.0, 200);
+  const std::string cold = cold_ssta_reply(spec);
+
+  serve::ServerOptions options;
+  options.uds_path = uds_path("ssta_nan");
+  options.lanes = 1;
+  serve::Server server(options);
+  server.start();
+  serve::Client client = serve::Client::connect_unix_path(options.uds_path);
+  {
+    faultinject::ArmScope fault("ssta.nan", "once");
+    const serve::Client::Reply r = client.submit(spec);
+    ASSERT_TRUE(r.ok()) << r.payload.dump();
+    const Json& recovery = r.payload.get("result").get("recovery");
+    EXPECT_TRUE(recovery.get_bool("degraded", false));
+    EXPECT_EQ(recovery.get("fallback").as_string(), "ssta_to_mc");
+  }
+  // Neither the reply nor the poisoned curve was kept: the repeat
+  // analyzes again and equals the cold reply.
+  const serve::Client::Reply r = client.submit(spec);
+  ASSERT_TRUE(r.ok()) << r.payload.dump();
+  EXPECT_FALSE(r.payload.get("cache").get_bool("result_hit", true));
+  EXPECT_EQ(r.payload.get("result").dump(), cold);
+  EXPECT_EQ(curve_hits(server, "ssta_curve_hits"), 0.0);
   server.stop();
 }
 

@@ -13,12 +13,15 @@
 //     like variation::YieldAnalyzer (the SSTA residual folds the matching
 //     quantization sigma);
 //   * bitwise determinism when many SstaTimers analyze concurrently at
-//     1/2/8 threads.
+//     1/2/8 threads, and across interleaved analyses on one SstaTimer;
+//   * the lane endpoint-panel kernel bitwise-equal to the scalar kernel
+//     it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -240,6 +243,121 @@ TEST(YieldCurveTest, YieldMonotonicAndRoundTrips) {
   EXPECT_EQ(det.tau_at_yield(0.9), 2.0);
 }
 
+// --- endpoint-panel integration -------------------------------------------
+
+/// The scalar endpoint-panel kernel the lane kernel replaced: one pass over
+/// the kept endpoints per antithetic sign.  The lane kernel must reproduce
+/// it bit for bit.
+std::vector<double> scalar_endpoint_panel(
+    const std::vector<CanonicalForm>& endpoints, int samples,
+    std::uint64_t seed) {
+  std::vector<double> out;
+  if (samples <= 0 || endpoints.empty()) return out;
+  double thresh = -1e300;
+  for (const CanonicalForm& ep : endpoints)
+    thresh = std::max(thresh, ep.mean - 4.5 * ep.sigma());
+  std::vector<const CanonicalForm*> kept;
+  for (const CanonicalForm& ep : endpoints)
+    if (ep.mean + 4.5 * ep.sigma() >= thresh) kept.push_back(&ep);
+  std::vector<std::uint32_t> cells;
+  for (const CanonicalForm* ep : kept)
+    for (const ResidualTerm& t : ep->rc) cells.push_back(t.cell);
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  std::vector<std::vector<std::pair<std::size_t, double>>> terms(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i)
+    for (const ResidualTerm& t : kept[i]->rc)
+      terms[i].emplace_back(
+          static_cast<std::size_t>(
+              std::lower_bound(cells.begin(), cells.end(), t.cell) -
+              cells.begin()),
+          t.coef);
+
+  const int pairs = (samples + 1) / 2;
+  Rng rng(seed ^ 0x55AA33CC9F1E2D4BULL);
+  std::array<double, kSources> x;
+  std::vector<double> z(cells.size());
+  std::vector<double> rdraw(kept.size());
+  for (int s = 0; s < pairs; ++s) {
+    for (double& v : x) v = rng.normal();
+    for (double& v : z) v = rng.normal();
+    for (double& v : rdraw) v = rng.normal();
+    for (const double sign : {1.0, -1.0}) {
+      double worst = 0.0;
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        const CanonicalForm& ep = *kept[i];
+        double dev = ep.r * rdraw[i];
+        for (int k = 0; k < kSources; ++k) dev += ep.a[k] * x[k];
+        for (const auto& [zi, coef] : terms[i]) dev += coef * z[zi];
+        worst = std::max(worst, ep.mean + sign * dev);
+      }
+      out.push_back(worst);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Random endpoint forms over a shared pool of `cells` cells; some means
+/// sit far below the rest so the plausibility cut drops them.
+std::vector<CanonicalForm> random_endpoints(Rng& rng, int count, int cells,
+                                            int max_terms) {
+  std::vector<CanonicalForm> eps;
+  for (int e = 0; e < count; ++e) {
+    CanonicalForm f = random_form(rng);
+    if (e % 5 == 4) f.mean -= 3.0;
+    const int terms = max_terms > 0 ? rng.uniform_int(0, max_terms) : 0;
+    std::vector<std::uint32_t> ids;
+    for (int t = 0; t < terms; ++t)
+      ids.push_back(static_cast<std::uint32_t>(rng.uniform_int(0, cells - 1)));
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    for (const std::uint32_t id : ids)
+      f.rc.push_back(ResidualTerm{id, rng.normal(0.0, 0.02)});
+    eps.push_back(std::move(f));
+  }
+  return eps;
+}
+
+void expect_bitwise_equal(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+TEST(EndpointPanelTest, LaneKernelBitwiseEqualsScalarKernel) {
+  Rng rng(2024);
+  // Odd sample counts, fewer pairs than lanes, exact lane multiples, and
+  // ragged last blocks.
+  const int sample_counts[] = {1, 2, 3, 7, 15, 16, 17, 31, 101, 1000};
+  const std::vector<CanonicalForm> eps = random_endpoints(rng, 40, 60, 12);
+  for (const int samples : sample_counts) {
+    SCOPED_TRACE("samples=" + std::to_string(samples));
+    const std::vector<double> lane = sample_endpoint_panel(eps, samples, 7);
+    EXPECT_EQ(lane.size(), 2 * static_cast<std::size_t>((samples + 1) / 2));
+    expect_bitwise_equal(lane, scalar_endpoint_panel(eps, samples, 7));
+  }
+}
+
+TEST(EndpointPanelTest, SingleEndpointAndEmptySupport) {
+  Rng rng(77);
+  // One kept endpoint: a lone form, and a dominant one whose peers all
+  // fall below the plausibility cut.
+  std::vector<CanonicalForm> one = random_endpoints(rng, 1, 8, 4);
+  std::vector<CanonicalForm> dominant = random_endpoints(rng, 6, 8, 4);
+  dominant[0].mean += 10.0;
+  // No per-cell support anywhere (empty rc, no z draws).
+  std::vector<CanonicalForm> no_rc = random_endpoints(rng, 12, 8, 0);
+  for (const auto* eps : {&one, &dominant, &no_rc})
+    for (const int samples : {1, 5, 16, 33}) {
+      SCOPED_TRACE("samples=" + std::to_string(samples));
+      expect_bitwise_equal(sample_endpoint_panel(*eps, samples, 99),
+                           scalar_endpoint_panel(*eps, samples, 99));
+    }
+  EXPECT_TRUE(sample_endpoint_panel(one, 0, 1).empty());
+  EXPECT_TRUE(sample_endpoint_panel({}, 64, 1).empty());
+}
+
 // --- exact agreement with the scalar Timer at zero sensitivity -------------
 
 TEST(SstaTimerTest, ZeroSensitivityIsBitwiseScalarSta) {
@@ -458,6 +576,35 @@ void expect_same_result(const SstaResult& a, const SstaResult& b) {
   // The panel samples behind yield_at/tau_at_yield must be bitwise stable
   // too, or served yield numbers would drift between replicas.
   EXPECT_TRUE(a.mct_samples == b.mct_samples);
+}
+
+TEST(SstaTimerTest, AnalyzeIsPureAcrossInterleavedRecipes) {
+  // The yield-target loop reuses an analysis when a later recipe snaps to
+  // the same variants, which is sound only if analyze() depends on its
+  // argument alone -- not on what the held base state analyzed before.
+  flow::DesignContext ctx(gen::aes65_spec().scaled(0.02));
+  const liberty::CoefficientSet& coeffs = ctx.coefficients(false);
+  const SstaTimer engine(&ctx.timer(), &ctx.placement(), &coeffs,
+                         variation::VariationModel{});
+  sta::VariantAssignment a(ctx.netlist().cell_count());
+  sta::VariantAssignment b = a;
+  Rng rng(5);
+  for (std::size_t c = 0; c < b.size(); ++c)
+    b.set(static_cast<netlist::CellId>(c), rng.uniform_int(6, 14),
+          liberty::kVariantsPerLayer / 2);
+
+  const SstaResult first = engine.analyze(a);
+  const SstaResult other = engine.analyze(b);
+  const SstaResult again = engine.analyze(a);
+  ASSERT_TRUE(first.healthy);
+  EXPECT_NE(other.mean_mct_ns, first.mean_mct_ns);
+  expect_same_result(first, again);
+  EXPECT_EQ(std::memcmp(&first.mean_mct_ns, &again.mean_mct_ns,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&first.sigma_mct_ns, &again.sigma_mct_ns,
+                        sizeof(double)),
+            0);
 }
 
 TEST(SstaTimerTest, BitwiseDeterministicAcrossThreadCounts) {

@@ -9,7 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <ostream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -20,6 +20,7 @@
 #include "common/strings.h"
 #include "flow/optimize.h"
 #include "flow/ssta_yield.h"
+#include "serde/durable.h"
 #include "serde/result_store.h"
 #include "serde/stream.h"
 #include "serve/cache.h"
@@ -616,24 +617,10 @@ CampaignReport run_campaign(const CampaignSpec& spec,
     append(Rec::kEnd, encode_end(report.artifact_fnv));
   }
   if (!opts.artifact_path.empty()) {
-    const std::string tmp = opts.artifact_path + ".tmp." +
-                            std::to_string(static_cast<long>(::getpid()));
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os)
-        throw Error("campaign: cannot open " + tmp + " for writing");
+    serde::publish_atomic(opts.artifact_path, [&](std::ostream& os) {
       os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       os << "\n";
-      if (!os) {
-        os.close();
-        ::unlink(tmp.c_str());
-        throw Error("campaign: write to " + tmp + " failed");
-      }
-    }
-    if (std::rename(tmp.c_str(), opts.artifact_path.c_str()) != 0) {
-      ::unlink(tmp.c_str());
-      throw Error("campaign: rename to " + opts.artifact_path + " failed");
-    }
+    });
   }
 
   report.journal_recoveries = recoveries.load();

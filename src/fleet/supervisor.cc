@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "common/error.h"
-#include "serde/result_store.h"
+#include "serde/durable.h"
 #include "serve/client.h"
 
 extern char** environ;

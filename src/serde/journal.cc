@@ -15,7 +15,7 @@
 
 #include "common/error.h"
 #include "faultinject/fault.h"
-#include "serde/result_store.h"
+#include "serde/durable.h"
 #include "serde/stream.h"
 
 namespace doseopt::serde {
@@ -31,25 +31,6 @@ constexpr char kSegmentMagic[8] = {'D', 'O', 'S', 'E', 'J', 'N', 'L', '1'};
 constexpr std::uint32_t kRecordMagic = 0x4C4E4A44;  // "DJNL" little-endian
 constexpr std::size_t kSegmentHeaderBytes = 8 + 4 + 8;
 constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8 + 8 + 8;
-
-void fsync_fd(int fd, const std::string& what) {
-  if (::fsync(fd) != 0)
-    throw Error("journal: fsync failed: " + what + ": " +
-                std::strerror(errno));
-}
-
-void fsync_path(const std::string& path, bool directory) {
-  const int fd = ::open(path.c_str(),
-                        directory ? (O_RDONLY | O_DIRECTORY) : O_WRONLY);
-  if (fd < 0)
-    throw Error("journal: open for fsync failed: " + path + ": " +
-                std::strerror(errno));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0)
-    throw Error("journal: fsync failed: " + path + ": " +
-                std::strerror(errno));
-}
 
 std::string segment_header_bytes(std::uint64_t index) {
   ByteWriter w;
@@ -197,8 +178,7 @@ JournalReplay replay_journal(const std::string& dir) {
 JournalWriter::JournalWriter(std::string dir, std::size_t rotate_bytes)
     : dir_(std::move(dir)), rotate_bytes_(rotate_bytes) {
   std::filesystem::create_directories(dir_);
-  // A crash during rotation can leave a header tmp file behind; the same
-  // pid-liveness reclaim the result store uses cleans it up.
+  // A crash during rotation can leave a header temp file behind.
   reclaim_stale_tmp_files(dir_);
   const JournalReplay replay = replay_journal(dir_);
   next_seq_ = replay.next_seq;
@@ -227,26 +207,10 @@ JournalWriter::~JournalWriter() {
 
 void JournalWriter::open_fresh_segment(std::uint64_t index) {
   const std::string path = journal_segment_path(dir_, index);
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   const std::string header = segment_header_bytes(index);
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw Error("journal: cannot open " + tmp + " for writing");
+  publish_atomic(path, [&](std::ostream& os) {
     os.write(header.data(), static_cast<std::streamsize>(header.size()));
-    if (!os) {
-      os.close();
-      ::unlink(tmp.c_str());
-      throw Error("journal: write to " + tmp + " failed");
-    }
-  }
-  fsync_path(tmp, /*directory=*/false);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    throw Error("journal: rename to " + path + " failed: " + err);
-  }
-  fsync_path(dir_, /*directory=*/true);
+  });
 
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
@@ -274,18 +238,12 @@ std::uint64_t JournalWriter::append(std::uint32_t type,
     poisoned_ = true;
     throw Error("[fault:campaign.journal_torn] journal append torn");
   }
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      poisoned_ = true;  // unknown how much hit the file
-      throw Error("journal: append write failed: " + std::string(
-                      std::strerror(errno)));
-    }
-    off += static_cast<std::size_t>(n);
+  try {
+    write_all_durable(fd_, bytes, journal_segment_path(dir_, segment_index_));
+  } catch (...) {
+    poisoned_ = true;  // unknown how much hit the file
+    throw;
   }
-  fsync_fd(fd_, journal_segment_path(dir_, segment_index_));
   segment_bytes_ += bytes.size();
   ++next_seq_;
   return seq;

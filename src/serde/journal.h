@@ -5,8 +5,8 @@
 // killed at ANY instant can resume exactly once: committed jobs are
 // skipped through the content-addressed result store, in-flight intents
 // are deterministically re-submitted.  The format reuses the serde
-// conventions (little-endian framing, FNV-1a checksums, tmp+rename+fsync
-// durability):
+// conventions (little-endian framing, FNV-1a checksums, durable.h
+// writes):
 //
 //   segment file "<dir>/journal.<index %06u>.seg":
 //     [ 8 bytes magic "DOSEJNL1" ][ u32 version ][ u64 segment index ]
@@ -14,9 +14,9 @@
 //       [ u32 record magic ][ u32 type ][ u64 seq ]
 //       [ u64 payload size ][ u64 FNV-1a of payload ][ payload bytes ]
 //
-// Appends write the full record then fsync the segment; rotation creates
-// the next segment header via tmp file + rename + directory fsync, so a
-// crash can never leave a half-written segment header.  Replay validates
+// Appends write the full record then fsync the segment; rotation
+// publishes the next segment header with publish_atomic, so a crash can
+// never leave a half-written segment header.  Replay validates
 // every record in order (magic, checksum, contiguous seq) and tolerates a
 // torn tail -- a partially written final record -- ONLY in the final
 // segment, reporting it instead of throwing; torn or missing bytes

@@ -1,21 +1,12 @@
 #include "serde/result_store.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
-#include "common/error.h"
 #include "faultinject/fault.h"
-#include "serde/stream.h"
+#include "serde/durable.h"
 
 namespace doseopt::serde {
 
@@ -23,20 +14,7 @@ namespace {
 
 faultinject::FaultPoint g_fault_cache_corrupt("fleet.cache_corrupt");
 
-constexpr char kMagic[8] = {'D', 'O', 'S', 'E', 'R', 'E', 'S', '1'};
-
-void fsync_fd_path(const std::string& path, bool directory) {
-  const int fd = ::open(path.c_str(),
-                        directory ? (O_RDONLY | O_DIRECTORY) : O_WRONLY);
-  if (fd < 0)
-    throw Error("result store: open for fsync failed: " + path + ": " +
-                std::strerror(errno));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0)
-    throw Error("result store: fsync failed: " + path + ": " +
-                std::strerror(errno));
-}
+constexpr std::string_view kMagic = "DOSERES1";
 
 }  // namespace
 
@@ -49,41 +27,9 @@ std::string result_path(const std::string& dir, std::uint64_t key) {
 void write_result(const std::string& dir, std::uint64_t key,
                   std::string_view payload) {
   std::filesystem::create_directories(dir);
-  const std::string path = result_path(dir, key);
-  // Unique temp name per process *and* per call: concurrent worker lanes
-  // publishing the same key never interleave bytes into one temp file.
-  static std::atomic<std::uint64_t> seq{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-
-  ByteWriter header;
-  for (const char c : kMagic) header.put_u8(static_cast<std::uint8_t>(c));
-  header.put_u32(kResultStoreVersion);
-  header.put_u64(payload.size());
-  header.put_u64(fnv1a64(payload.data(), payload.size()));
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw Error("result store: cannot open " + tmp + " for writing");
-    os.write(header.bytes().data(),
-             static_cast<std::streamsize>(header.bytes().size()));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (!os) {
-      os.close();
-      ::unlink(tmp.c_str());
-      throw Error("result store: write to " + tmp + " failed");
-    }
-  }
-  // Durability order mirrors the snapshot layer: bytes, rename, directory
-  // entry.  A crash at any instant leaves the old record or the new one,
-  // never a torn mix.
-  fsync_fd_path(tmp, /*directory=*/false);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    throw Error("result store: rename to " + path + " failed: " + err);
-  }
-  fsync_fd_path(dir, /*directory=*/true);
+  publish_atomic(result_path(dir, key), [&](std::ostream& os) {
+    write_frame(os, kMagic, kResultStoreVersion, payload);
+  });
 }
 
 std::optional<std::string> read_result(const std::string& dir,
@@ -92,73 +38,11 @@ std::optional<std::string> read_result(const std::string& dir,
   std::ifstream is(path, std::ios::binary);
   if (!is) return std::nullopt;
   faultinject::maybe_throw(g_fault_cache_corrupt, "result cache read");
-
-  char magic[8];
-  is.read(magic, 8);
-  if (!is || std::memcmp(magic, kMagic, 8) != 0)
-    throw Error("result store: bad magic in " + path);
-  char fixed[4 + 8 + 8];
-  is.read(fixed, sizeof(fixed));
-  if (!is) throw Error("result store: truncated header in " + path);
-  ByteReader hr(std::string_view(fixed, sizeof(fixed)));
-  const std::uint32_t version = hr.get_u32();
-  if (version != kResultStoreVersion)
-    throw Error("result store: unsupported version " +
-                std::to_string(version) + " in " + path);
-  const std::uint64_t size = hr.get_u64();
-  const std::uint64_t checksum = hr.get_u64();
-
-  std::string payload(size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(is.gcount()) != size)
-    throw Error("result store: payload shorter than header declares in " +
-                path);
-  if (is.peek() != std::istream::traits_type::eof())
-    throw Error("result store: trailing bytes in " + path);
-  if (fnv1a64(payload.data(), payload.size()) != checksum)
-    throw Error("result store: checksum mismatch in " + path);
-  return payload;
+  return read_frame(is, kMagic, kResultStoreVersion, "result store " + path);
 }
 
 void quarantine_result(const std::string& dir, std::uint64_t key) {
-  const std::string path = result_path(dir, key);
-  std::error_code ec;
-  std::filesystem::rename(path, path + ".corrupt", ec);
-  if (ec) std::filesystem::remove(path, ec);
-}
-
-int reclaim_stale_tmp_files(const std::string& dir) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) return 0;
-  int reclaimed = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (ec) break;
-    const std::string name = entry.path().filename().string();
-    // Match "<base>.tmp.<pid>" and "<base>.tmp.<pid>.<seq>".
-    const std::size_t at = name.rfind(".tmp.");
-    if (at == std::string::npos) continue;
-    const std::string suffix = name.substr(at + 5);
-    const std::size_t dot = suffix.find('.');
-    const std::string pid_str = suffix.substr(0, dot);
-    if (pid_str.empty() ||
-        pid_str.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    if (dot != std::string::npos) {
-      const std::string seq_str = suffix.substr(dot + 1);
-      if (seq_str.empty() ||
-          seq_str.find_first_not_of("0123456789") != std::string::npos)
-        continue;
-    }
-    const long pid = std::strtol(pid_str.c_str(), nullptr, 10);
-    if (pid <= 0 || pid == static_cast<long>(::getpid())) continue;
-    // kill(pid, 0) probes liveness: ESRCH means the writer is gone and its
-    // temp file can never be renamed into place.  EPERM means alive (owned
-    // by someone else) -- leave it.
-    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) continue;
-    std::error_code rm_ec;
-    if (std::filesystem::remove(entry.path(), rm_ec)) ++reclaimed;
-  }
-  return reclaimed;
+  quarantine(result_path(dir, key));
 }
 
 }  // namespace doseopt::serde

@@ -1,20 +1,14 @@
 #include "serde/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.h"
 #include "common/strings.h"
 #include "faultinject/fault.h"
+#include "serde/durable.h"
 #include "serde/stream.h"
 
 namespace doseopt::serde {
@@ -24,29 +18,7 @@ namespace {
 faultinject::FaultPoint g_fault_write("serde.snapshot_write");
 faultinject::FaultPoint g_fault_read("serde.snapshot_read");
 
-constexpr char kMagic[8] = {'D', 'O', 'S', 'E', 'S', 'N', 'A', 'P'};
-
-/// fsync the file at `path` (by a fresh descriptor) so the rename that
-/// follows publishes fully durable bytes.
-void fsync_path(const std::string& path, bool directory) {
-  const int fd = ::open(path.c_str(),
-                        directory ? (O_RDONLY | O_DIRECTORY) : O_WRONLY);
-  if (fd < 0)
-    throw Error("snapshot: open for fsync failed: " + path + ": " +
-                std::strerror(errno));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0)
-    throw Error("snapshot: fsync failed: " + path + ": " +
-                std::strerror(errno));
-}
-
-/// Directory part of `path` ("." when none).
-std::string dir_of(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".")
-                                    : path.substr(0, slash);
-}
+constexpr std::string_view kMagic = "DOSESNAP";
 
 void put_spec(ByteWriter& w, const gen::DesignSpec& spec) {
   w.put_string(spec.name);
@@ -250,48 +222,13 @@ std::uint64_t write_design_state(std::ostream& os, const gen::DesignSpec& spec,
     put_library(w, *lib);
   }
 
-  const std::string payload = w.take();
-  const std::uint64_t checksum = fnv1a64(payload.data(), payload.size());
-  ByteWriter header;
-  for (const char c : kMagic) header.put_u8(static_cast<std::uint8_t>(c));
-  header.put_u32(kSnapshotVersion);
-  header.put_u64(payload.size());
-  header.put_u64(checksum);
-  os.write(header.bytes().data(),
-           static_cast<std::streamsize>(header.bytes().size()));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!os) throw Error("snapshot: stream write failed");
-  return checksum;
+  return write_frame(os, kMagic, kSnapshotVersion, w.take());
 }
 
 DesignState read_design_state(std::istream& is) {
   faultinject::maybe_throw(g_fault_read, "snapshot read");
-  char magic[8];
-  is.read(magic, 8);
-  if (!is || std::memcmp(magic, kMagic, 8) != 0)
-    throw Error("snapshot: bad magic (not a doseopt snapshot)");
-
-  char fixed[4 + 8 + 8];
-  is.read(fixed, sizeof(fixed));
-  if (!is) throw Error("snapshot truncated: incomplete header");
-  ByteReader hr(std::string_view(fixed, sizeof(fixed)));
-  const std::uint32_t version = hr.get_u32();
-  if (version != kSnapshotVersion)
-    throw Error("snapshot: unsupported version " + std::to_string(version) +
-                " (expected " + std::to_string(kSnapshotVersion) + ")");
-  const std::uint64_t payload_size = hr.get_u64();
-  const std::uint64_t checksum = hr.get_u64();
-
-  std::string payload(payload_size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::uint64_t>(is.gcount()) != payload_size)
-    throw Error("snapshot truncated: payload shorter than header declares");
-  const std::uint64_t actual = fnv1a64(payload.data(), payload.size());
-  if (actual != checksum)
-    throw Error("snapshot: checksum mismatch (file corrupt)");
-  if (is.peek() != std::istream::traits_type::eof())
-    throw Error("snapshot: trailing bytes after payload");
-
+  const std::string payload =
+      read_frame(is, kMagic, kSnapshotVersion, "snapshot");
   ByteReader r(payload);
   DesignState state;
   state.spec = get_spec(r);
@@ -330,32 +267,10 @@ std::uint64_t write_design_snapshot(const std::string& path,
                                     const netlist::Netlist& netlist,
                                     const place::Placement& placement,
                                     const liberty::LibraryRepository& repo) {
-  // Unique temp name: concurrent writers (or a stale temp from a crashed
-  // process) can never interleave bytes into each other's file.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   std::uint64_t checksum = 0;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw Error("snapshot: cannot open " + tmp + " for writing");
-    try {
-      checksum = write_design_state(os, spec, netlist, placement, repo);
-    } catch (...) {
-      os.close();
-      ::unlink(tmp.c_str());  // never leave a known-bad temp behind
-      throw;
-    }
-  }
-  // Durability order: file bytes, then the rename, then the directory
-  // entry.  A crash between any two steps leaves the previous snapshot
-  // intact and readable.
-  fsync_path(tmp, /*directory=*/false);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    throw Error("snapshot: rename to " + path + " failed: " + err);
-  }
-  fsync_path(dir_of(path), /*directory=*/true);
+  publish_atomic(path, [&](std::ostream& os) {
+    checksum = write_design_state(os, spec, netlist, placement, repo);
+  });
   return checksum;
 }
 
@@ -374,28 +289,8 @@ void journal_append(const std::string& dir, const std::string& name,
   const std::string line = str_format("%s %016llx\n", name.c_str(),
                                       static_cast<unsigned long long>(checksum));
   // O_APPEND keeps concurrent appenders line-atomic for short lines;
-  // fsync makes the record durable before the caller trusts it.
-  const int fd = ::open(journal_path(dir).c_str(),
-                        O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0)
-    throw Error("snapshot journal: cannot open " + journal_path(dir) + ": " +
-                std::strerror(errno));
-  const char* p = line.data();
-  std::size_t left = line.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      throw Error("snapshot journal: write failed: " + err);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) throw Error("snapshot journal: fsync failed");
+  // the fsync makes the record durable before the caller trusts it.
+  append_durable(journal_path(dir), line);
 }
 
 std::map<std::string, std::uint64_t> journal_read(const std::string& dir) {

@@ -7,14 +7,10 @@
 // Parasitics and fitted coefficients are *derived* state -- recomputed
 // deterministically from the restored objects -- and are not stored.
 //
-// File layout:
-//
-//   [ 8 bytes magic "DOSESNAP" ][ u32 version ][ u64 payload size ]
-//   [ u64 FNV-1a checksum of payload ][ payload bytes ... ]
-//
-// The reader validates magic, version, size, and checksum before decoding
-// a single payload value; any mismatch throws doseopt::Error with a
-// description (never undefined behavior on corrupt input).
+// A snapshot file is one durable.h frame (magic "DOSESNAP") around the
+// payload: the reader validates the frame before decoding a single payload
+// value, and any mismatch throws doseopt::Error with a description (never
+// undefined behavior on corrupt input).
 #pragma once
 
 #include <iosfwd>
@@ -59,11 +55,10 @@ std::uint64_t write_design_state(std::ostream& os, const gen::DesignSpec& spec,
 /// mismatch, or structurally invalid content (netlist validation runs).
 DesignState read_design_state(std::istream& is);
 
-/// File convenience wrappers.  Writes are crash-safe: the snapshot is
-/// streamed to a unique temp file, fsynced, renamed over `path`, and the
-/// directory entry is fsynced -- a crash at any instant leaves either the
-/// old file or the new one, never a torn mix.  Returns the payload
-/// checksum (for the last-good journal).
+/// File convenience wrappers.  The write streams the snapshot through
+/// publish_atomic (durable.h), so a crash or power cut leaves the old file
+/// or the new one.  Returns the payload checksum (for the last-good
+/// journal).
 std::uint64_t write_design_snapshot(const std::string& path,
                                     const gen::DesignSpec& spec,
                                     const netlist::Netlist& netlist,
@@ -78,6 +73,10 @@ DesignState read_design_snapshot(const std::string& path);
 /// file" -- and gives tests/tools a durable record to audit against.
 ///
 /// Format: one `<name> <checksum-hex>` line per publish; later lines win.
+/// Appended with append_durable (O_APPEND + fsync), not a JournalWriter:
+/// fleet workers share one snapshot directory, and O_APPEND keeps their
+/// short lines whole without the single-writer sequence a JournalWriter
+/// enforces.
 void journal_append(const std::string& dir, const std::string& name,
                     std::uint64_t checksum);
 

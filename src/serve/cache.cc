@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "serde/durable.h"
 #include "serde/result_store.h"
 #include "serde/snapshot.h"
 
@@ -88,9 +89,7 @@ void SessionCache::populate(Session& session, const JobSpec& spec,
                          ? " [journaled as last-good: corrupted on disk]"
                          : "",
                      path.c_str());
-        std::error_code ec;
-        std::filesystem::rename(path, path + ".corrupt", ec);
-        if (ec) std::filesystem::remove(path, ec);
+        serde::quarantine(path);
       }
     }
   }

@@ -3,7 +3,8 @@
 // campaign.journal_torn fault point), deterministic spec expansion, the
 // journal-state scan, and the driver's exactly-once crash/resume
 // semantics -- a campaign interrupted at any point resumes to an
-// artifact bit-identical to an uninterrupted run.
+// artifact bit-identical to an uninterrupted run -- and the crash-state
+// matrix of every durable file format.
 //
 // The CI fault sweep re-runs this binary with
 // DOSEOPT_FAULTS=campaign.journal_torn:once; the CampaignSweep test
@@ -12,11 +13,13 @@
 // armed fault cannot fire outside a driver's recovery ladder.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -25,8 +28,13 @@
 
 #include "campaign/campaign.h"
 #include "common/error.h"
+#include "common/strings.h"
 #include "faultinject/fault.h"
+#include "flow/context.h"
+#include "serde/durable.h"
 #include "serde/journal.h"
+#include "serde/result_store.h"
+#include "serve/cache.h"
 
 namespace doseopt {
 namespace {
@@ -433,6 +441,231 @@ TEST(CampaignRun, CraftedInFlightIntentIsResubmitted) {
   EXPECT_EQ(state.in_flight(), 0);
   EXPECT_TRUE(state.ended);
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Crash-state matrix: for every durable format, each state a killed writer
+// or a power cut can leave beside the old file, recovered by the format's
+// real reader or recovery step.
+// ---------------------------------------------------------------------------
+
+/// One durable format.  `recover` runs the real reader or recovery step on
+/// a state directory and returns a fingerprint of what it landed on.
+struct DurableFormat {
+  std::string name;
+  std::string target;  ///< the published file, relative to a state dir
+  /// Bytes a complete temp holds: the first `published_bytes` of the new
+  /// file (0 = all of it; a journal rotation publishes only the header).
+  std::size_t published_bytes = 0;
+  std::function<void(const std::string&)> make_old;
+  std::function<void(const std::string&)> publish_new;
+  std::function<std::string(const std::string&)> recover;
+  std::string old_state, new_state;  ///< expected fingerprints
+};
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A reaped child's pid: provably dead, as a crashed writer's is.
+pid_t dead_pid() {
+  const pid_t pid = ::fork();
+  if (pid == 0) ::_exit(0);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return pid;
+}
+
+DurableFormat snapshot_format() {
+  serve::JobSpec job;
+  job.design = "aes65";
+  job.scale = 0.02;
+  // The old snapshot holds the nominal library only; the new one also the
+  // variants a coefficient fit characterizes.
+  static flow::DesignContext old_ctx(job.design_spec());
+  static flow::DesignContext new_ctx = [&] {
+    flow::DesignContext ctx(job.design_spec());
+    ctx.coefficients(/*width=*/false);
+    return ctx;
+  }();
+  EXPECT_GT(new_ctx.repo().characterized_count(),
+            old_ctx.repo().characterized_count());
+  // The name SessionCache gives the session's snapshot.
+  const std::string target =
+      "snap/" + str_format("%016llx.snap", static_cast<unsigned long long>(
+                                               job.session_key()));
+  DurableFormat f;
+  f.name = "snapshot";
+  f.target = target;
+  f.make_old = [target](const std::string& dir) {
+    std::filesystem::create_directories(dir + "/snap");
+    old_ctx.save_snapshot(dir + "/" + target);
+  };
+  f.publish_new = [target](const std::string& dir) {
+    new_ctx.save_snapshot(dir + "/" + target);
+  };
+  // Restore-or-quarantine, as a serving worker does on its first job.
+  f.recover = [job](const std::string& dir) {
+    serve::SessionCache cache(dir + "/snap", "");
+    const auto session = cache.acquire(job);
+    bool restored = false;
+    cache.populate(*session, job, &restored);
+    return restored ? "restored " + std::to_string(
+                                        session->ctx->repo()
+                                            .characterized_count())
+                    : std::string("rebuilt cold");
+  };
+  f.old_state =
+      "restored " + std::to_string(old_ctx.repo().characterized_count());
+  f.new_state =
+      "restored " + std::to_string(new_ctx.repo().characterized_count());
+  return f;
+}
+
+DurableFormat result_format() {
+  constexpr std::uint64_t kKey = 0x0123456789ABCDEFull;
+  DurableFormat f;
+  f.name = "result record";
+  f.target = "results/" + serde::result_path("", kKey).substr(1);
+  f.make_old = [](const std::string& dir) {
+    serde::write_result(dir + "/results", kKey, "{\"doc\":\"old\"}");
+  };
+  f.publish_new = [](const std::string& dir) {
+    serde::write_result(dir + "/results", kKey,
+                        "{\"doc\":\"new and longer\"}");
+  };
+  f.recover = [](const std::string& dir) {
+    serve::SessionCache cache("", dir + "/results");
+    return cache.lookup_result(kKey).value_or("miss");
+  };
+  f.old_state = "{\"doc\":\"old\"}";
+  f.new_state = "{\"doc\":\"new and longer\"}";
+  return f;
+}
+
+DurableFormat journal_format() {
+  // Two records fill segment 0 past the 64-byte bound, so the next append
+  // rotates: the new state is segment 1, published by the rotation.
+  constexpr std::size_t kRotate = 64;
+  DurableFormat f;
+  f.name = "journal segment";
+  f.target = "journal/journal.000001.seg";
+  f.published_bytes = 8 + 4 + 8;
+  f.make_old = [](const std::string& dir) {
+    serde::JournalWriter writer(dir + "/journal", kRotate);
+    writer.append(1, "record-0");
+    writer.append(1, "record-1");
+  };
+  f.publish_new = [](const std::string& dir) {
+    serde::JournalWriter writer(dir + "/journal", kRotate);
+    writer.append(1, "record-2");
+  };
+  // Reopen (reclaim, truncate a torn tail), then replay.
+  f.recover = [](const std::string& dir) {
+    { serde::JournalWriter writer(dir + "/journal", kRotate); }
+    const serde::JournalReplay replay = serde::replay_journal(dir + "/journal");
+    std::string fp = std::to_string(replay.segments) + " segments:";
+    for (const serde::JournalRecord& r : replay.records) fp += " " + r.payload;
+    return fp;
+  };
+  f.old_state = "1 segments: record-0 record-1";
+  f.new_state = "2 segments: record-0 record-1 record-2";
+  return f;
+}
+
+DurableFormat artifact_format(const std::string& scratch) {
+  // Template: the sealed journal and result store of campaign "u", and the
+  // artifact of campaign "t" as the old file at the same path.
+  campaign::CampaignSpec old_spec = tiny_spec();
+  campaign::CampaignSpec spec = tiny_spec();
+  spec.name = "u";
+  const std::string tmpl = scratch + "/template";
+  campaign::CampaignOptions t_opts = dir_opts(tmpl);
+  t_opts.journal_dir = tmpl + "/journal_t";
+  t_opts.artifact_path = tmpl + "/artifact_t.json";
+  campaign::run_campaign(old_spec, t_opts);
+  campaign::CampaignOptions u_opts = dir_opts(tmpl);
+  u_opts.artifact_path = tmpl + "/artifact_u.json";
+  campaign::run_campaign(spec, u_opts);
+
+  DurableFormat f;
+  f.name = "campaign artifact";
+  f.target = "artifact.json";
+  f.make_old = [tmpl](const std::string& dir) {
+    std::filesystem::create_directories(dir);
+    std::filesystem::copy(tmpl + "/journal", dir + "/journal",
+                          std::filesystem::copy_options::recursive);
+    std::filesystem::copy(tmpl + "/results", dir + "/results",
+                          std::filesystem::copy_options::recursive);
+    std::filesystem::copy_file(tmpl + "/artifact_t.json",
+                               dir + "/artifact.json");
+  };
+  // `--resume` of the sealed journal: rebuild from the store, verify the
+  // End hash, publish the artifact.
+  f.recover = [spec](const std::string& dir) {
+    campaign::CampaignOptions opts = dir_opts(dir);
+    opts.resume = true;
+    campaign::run_campaign(spec, opts);
+    return read_file(dir + "/artifact.json");
+  };
+  f.publish_new = [recover = f.recover](const std::string& dir) {
+    recover(dir);
+  };
+  // Resume always lands on the new artifact, from either state.
+  f.old_state = f.new_state = read_file(tmpl + "/artifact_u.json");
+  EXPECT_NE(read_file(tmpl + "/artifact_t.json"), f.new_state);
+  return f;
+}
+
+TEST(DurableCrashMatrix, EveryFormatRecoversTheOldOrTheNewStateNeverAMix) {
+  fi::SuspendScope quiet;
+  const std::string scratch = test_dir("crash_matrix");
+  const pid_t dead = dead_pid();
+  const std::vector<DurableFormat> formats = {
+      snapshot_format(), result_format(), journal_format(),
+      artifact_format(scratch)};
+
+  int run = 0;
+  for (const DurableFormat& f : formats) {
+    SCOPED_TRACE(f.name);
+    // The new file's bytes, from a clean publish.
+    const std::string clean = scratch + "/clean" + std::to_string(run++);
+    f.make_old(clean);
+    f.publish_new(clean);
+    const std::string new_bytes = read_file(clean + "/" + f.target);
+    const std::size_t published =
+        f.published_bytes != 0 ? f.published_bytes : new_bytes.size();
+    ASSERT_LE(published, new_bytes.size());
+
+    struct CrashState {
+      const char* what;
+      std::string tmp_bytes;  ///< planted temp of the dead writer ("" = none)
+      bool published;         ///< the rename (and dir fsync) happened
+    };
+    const std::vector<CrashState> states = {
+        {"no crash", "", false},
+        {"partial temp of a dead writer", new_bytes.substr(0, published / 2),
+         false},
+        {"complete temp, rename lost", new_bytes.substr(0, published), false},
+        {"new file", "", true},
+    };
+    for (const CrashState& state : states) {
+      SCOPED_TRACE(state.what);
+      const std::string dir = scratch + "/state" + std::to_string(run++);
+      f.make_old(dir);
+      if (state.published) f.publish_new(dir);
+      const std::string tmp =
+          dir + "/" + f.target + ".tmp." + std::to_string(dead) + ".0";
+      if (!state.tmp_bytes.empty()) write_bytes(tmp, state.tmp_bytes);
+
+      EXPECT_EQ(f.recover(dir), state.published ? f.new_state : f.old_state);
+      serde::reclaim_stale_tmp_files(
+          std::filesystem::path(dir + "/" + f.target).parent_path().string());
+      EXPECT_FALSE(std::filesystem::exists(tmp));
+    }
+  }
+  std::filesystem::remove_all(scratch);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Tests for the binary snapshot layer: byte-stream primitives, round-trip
-// fidelity (restored designs time bit-identically), and corrupt-input
-// rejection (bad magic/version/checksum/truncation all fail with a clean
-// error, never undefined behavior).
+// fidelity (restored designs time bit-identically), corrupt-input
+// rejection (bad magic/version/size/checksum/truncation all fail with a
+// clean error, never undefined behavior or a huge allocation), and the
+// durable-file primitive's failure path.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -19,6 +22,7 @@
 #include "common/error.h"
 #include "flow/context.h"
 #include "gen/design_gen.h"
+#include "serde/durable.h"
 #include "serde/result_store.h"
 #include "serde/snapshot.h"
 #include "serde/stream.h"
@@ -81,6 +85,47 @@ TEST(ByteStream, Fnv1aMatchesKnownVector) {
   // FNV-1a 64 of "a" is a published constant.
   EXPECT_EQ(serde::fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
 }
+
+// ---------------------------------------------------------------------------
+// Frame corruption helpers.
+// ---------------------------------------------------------------------------
+
+/// `frame` with its header's payload-size field (bytes 12..19) set to
+/// `size`.
+std::string with_declared_size(std::string frame, std::uint64_t size) {
+  for (int i = 0; i < 8; ++i)
+    frame[12 + i] = static_cast<char>((size >> (8 * i)) & 0xFF);
+  return frame;
+}
+
+/// Run `read` in a forked child.  True when it threw doseopt::Error while
+/// the child's peak RSS grew by less than 64 MiB (the forked child starts
+/// with this test process's resident set, so the growth is what counts).
+bool rejects_without_allocating(const std::function<void()>& read) {
+  const pid_t pid = ::fork();
+  if (pid < 0) return false;
+  if (pid == 0) {
+    rusage before{};
+    ::getrusage(RUSAGE_SELF, &before);
+    bool threw = false;
+    try {
+      read();
+    } catch (const Error&) {
+      threw = true;
+    } catch (...) {
+    }
+    rusage after{};
+    ::getrusage(RUSAGE_SELF, &after);
+    const long grown_kib = after.ru_maxrss - before.ru_maxrss;
+    ::_exit(threw && grown_kib < 64 * 1024 ? 0 : 1);
+  }
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return false;
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+constexpr std::uint64_t k512MiB = 512ull << 20;
+constexpr std::uint64_t k2Pow63 = 1ull << 63;
 
 // ---------------------------------------------------------------------------
 // Design snapshot round trip.
@@ -177,6 +222,11 @@ TEST(Snapshot, FileRoundTripAndCorruptionErrors) {
   {
     EXPECT_THROW(read_from(bytes + "extra"), doseopt::Error);
   }
+  // A size field of 2^63 is a clean doseopt::Error, not std::length_error.
+  EXPECT_THROW(read_from(with_declared_size(bytes, k2Pow63)), doseopt::Error);
+  // A 512 MiB claim is rejected before the payload is allocated.
+  EXPECT_TRUE(rejects_without_allocating(
+      [&] { read_from(with_declared_size(bytes, k512MiB)); }));
 }
 
 // ---------------------------------------------------------------------------
@@ -248,6 +298,14 @@ TEST(ResultStore, RoundTripMissesAndCorruptionErrors) {
   // Trailing garbage after the payload.
   rewrite(bytes + "extra");
   EXPECT_THROW(serde::read_result(dir, key), doseopt::Error);
+  // A size field of 2^63 is a clean doseopt::Error, not std::length_error.
+  rewrite(with_declared_size(bytes, k2Pow63));
+  EXPECT_THROW(serde::read_result(dir, key), doseopt::Error);
+  // A 512 MiB claim in a short record is rejected before the payload is
+  // allocated.
+  rewrite(with_declared_size(bytes, k512MiB));
+  EXPECT_TRUE(
+      rejects_without_allocating([&] { serde::read_result(dir, key); }));
 
   // Quarantine sets the corrupt record aside; the key reads as a miss and
   // the bad bytes survive for post-mortem.
@@ -294,6 +352,59 @@ TEST(ResultStore, ReclaimsOnlyTmpFilesOfDeadProcesses) {
   // Idempotent, and a missing directory is a no-op, not an error.
   EXPECT_EQ(serde::reclaim_stale_tmp_files(dir), 0);
   EXPECT_EQ(serde::reclaim_stale_tmp_files(dir + "/missing"), 0);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The durable-file primitive.
+// ---------------------------------------------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+bool has_tmp_file(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.path().filename().string().find(".tmp.") != std::string::npos)
+      return true;
+  return false;
+}
+
+TEST(Durable, FailedPublishThrowsKeepsTheOldBytesAndLeavesNoTemp) {
+  const std::string dir =
+      "/tmp/doseopt_test_durable_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  // The writer throws part-way.
+  const std::string path = dir + "/file";
+  serde::publish_atomic(path, [](std::ostream& os) { os << "old bytes"; });
+  EXPECT_THROW(serde::publish_atomic(path,
+                                     [](std::ostream& os) {
+                                       os << "half";
+                                       throw Error("writer failed");
+                                     }),
+               Error);
+  EXPECT_EQ(slurp(path), "old bytes");
+  EXPECT_FALSE(has_tmp_file(dir));
+
+  // The rename fails: the target is a non-empty directory.
+  const std::string target = dir + "/target";
+  std::filesystem::create_directories(target);
+  {
+    std::ofstream os(target + "/old", std::ios::binary);
+    os << "old bytes";
+  }
+  EXPECT_THROW(
+      serde::publish_atomic(target, [](std::ostream& os) { os << "new"; }),
+      Error);
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  EXPECT_EQ(slurp(target + "/old"), "old bytes");
+  EXPECT_FALSE(has_tmp_file(dir));
+  EXPECT_FALSE(has_tmp_file(target));
   std::filesystem::remove_all(dir);
 }
 
